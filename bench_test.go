@@ -293,6 +293,57 @@ func BenchmarkE19BuildReduceA1n3f3(b *testing.B) {
 	}
 }
 
+// BenchmarkDescribe is the describe canary gated by
+// .github/bench_baseline.json: the facet count and canonical hash every
+// served response reports, on a fresh Clone of one A^1 n=3 f=3 round
+// complex (6560 simplexes) per iteration, so the per-complex memo never
+// answers and every iteration sorts and hashes the whole complex.
+func BenchmarkDescribe(b *testing.B) {
+	res, err := asyncmodel.OneRound(inputSimplex(3), asyncmodel.Params{N: 3, F: 3})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		c := res.Complex.Clone()
+		b.StartTimer()
+		if c.FacetCount() != 4096 || c.CanonicalHash() == "" {
+			b.Fatal("unexpected description")
+		}
+	}
+}
+
+// BenchmarkDescribeA1n4f2 times each describe path on the A^1 n=4 f=2
+// round complex (248,831 simplexes, 161,051 facets), every iteration on
+// a fresh Clone so the memo never answers (EXPERIMENTS.md E22).
+func BenchmarkDescribeA1n4f2(b *testing.B) {
+	res, err := asyncmodel.OneRound(inputSimplex(4), asyncmodel.Params{N: 4, F: 2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, op := range []struct {
+		name string
+		run  func(*topology.Complex) int
+	}{
+		{"FacetCount", func(c *topology.Complex) int { return c.FacetCount() }},
+		{"Facets", func(c *topology.Complex) int { return len(c.Facets()) }},
+		{"CanonicalHash", func(c *topology.Complex) int { return len(c.CanonicalHash()) }},
+		{"AllSimplices", func(c *topology.Complex) int { return len(c.AllSimplices()) }},
+	} {
+		b.Run(op.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				c := res.Complex.Clone()
+				b.StartTimer()
+				if op.run(c) == 0 {
+					b.Fatal("empty description")
+				}
+			}
+		})
+	}
+}
+
 // --- ablation benches for engine design choices ---
 
 // BenchmarkAblationHomologySparseZ2 measures the production engine (sparse

@@ -15,14 +15,19 @@
 // pre-interning string-keyed builder could not construct in reasonable
 // time.
 //
-// -reduce (default true) follows every constructed complex with two
+// Every complex case is split into stages: "<case> construct" times the
+// build alone, and "<case> describe" times what a served response
+// reports about the complex (facet count, f-vector, canonical hash), so
+// construction numbers no longer include facet extraction.
+//
+// -reduce (default true) follows every described complex with two
 // GF(2) reduction stages — "<case> reduce plain" (coreduction disabled)
 // and "<case> reduce morse" (the default engine) — so the report carries
 // the before/after numbers for the Morse preprocessing pass alongside
 // the construction envelope; the collapse counters (morse_removed,
 // morse_critical) land in the report's counter section.
 //
-// Each case runs as one obs stage; -report serializes the stages (name,
+// Each stage is one obs stage; -report serializes the stages (name,
 // wall millis, size/facet/count metadata) and the facet/schedule counters
 // as an obs.Report. SIGINT abandons the remaining cases at the next shard
 // boundary; -report still records the cases completed so far with
@@ -129,70 +134,69 @@ func realMain() int {
 
 func run(ctx context.Context, w io.Writer, workers int, deep bool, reduce bool) error {
 	tracker := obs.FromContext(ctx)
-	// record times one case as an obs stage, attaching the measured sizes
-	// as stage metadata — the -report serialization is the report plumbing,
-	// not a bespoke row type.
-	record := func(name string, f func() (size, facets, count int, err error)) error {
+	// timed runs f as one obs stage and prints its wall time; f attaches
+	// the measured sizes as stage metadata and returns the row's summary —
+	// the -report serialization is the report plumbing, not a bespoke row
+	// type.
+	timed := func(name string, f func(*obs.Stage) (string, error)) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
 		stage := tracker.Stage(name)
 		start := time.Now()
-		size, facets, count, err := f()
+		summary, err := f(stage)
 		elapsed := time.Since(start)
+		stage.End()
 		if err != nil {
-			stage.End()
 			return fmt.Errorf("%s: %w", name, err)
 		}
-		if count > 0 {
-			stage.Meta("count", int64(count))
-			fmt.Fprintf(w, "%-40s %12v  count=%d\n", name, elapsed, count)
-		} else {
-			stage.Meta("size", int64(size)).Meta("facets", int64(facets))
-			fmt.Fprintf(w, "%-40s %12v  size=%d facets=%d\n", name, elapsed, size, facets)
-		}
-		stage.End()
+		fmt.Fprintf(w, "%-40s %12v  %s\n", name, elapsed, summary)
 		return nil
 	}
-	// built carries the most recently constructed complex from a case's
-	// closure to the reduction stages that follow it.
-	var built *topology.Complex
-	sized := func(res *pc.Result, err error) (int, int, int, error) {
+	// complexCase times one construction and what follows it as separate
+	// stages: "<case> construct" (the build alone), "<case> describe"
+	// (facet count, f-vector and canonical hash: what every served
+	// response reports), and, with -reduce, "<case> reduce plain"
+	// (coreduction disabled) and "<case> reduce morse" (the engine
+	// default), each on a fresh uncached engine so every run really
+	// reduces.
+	complexCase := func(name string, build func() (*pc.Result, error)) error {
+		var c *topology.Complex
+		err := timed(name+" construct", func(st *obs.Stage) (string, error) {
+			res, err := build()
+			if err != nil {
+				return "", err
+			}
+			c = res.Complex
+			st.Meta("size", int64(c.Size()))
+			return fmt.Sprintf("size=%d", c.Size()), nil
+		})
 		if err != nil {
-			return 0, 0, 0, err
+			return err
 		}
-		built = res.Complex
-		return res.Complex.Size(), len(res.Complex.Facets()), 0, nil
-	}
-	// reduceCase times the GF(2) Betti computation over the just-built
-	// complex twice — coreduction off, then on (the engine default) — as
-	// two stages riding the same case name; fresh uncached engines so
-	// every run really reduces.
-	reduceCase := func(name string) error {
-		c := built
-		built = nil
-		if !reduce || c == nil {
-			return nil
+		err = timed(name+" describe", func(st *obs.Stage) (string, error) {
+			facets := c.FacetCount()
+			fv := c.FVector()
+			hash := c.CanonicalHash()
+			st.Meta("facets", int64(facets))
+			return fmt.Sprintf("facets=%d f=%v hash=%.12s", facets, fv, hash), nil
+		})
+		if err != nil || !reduce {
+			return err
 		}
 		for _, mode := range []struct {
 			label   string
 			noMorse bool
 		}{{"plain", true}, {"morse", false}} {
-			if err := ctx.Err(); err != nil {
+			err := timed(name+" reduce "+mode.label, func(*obs.Stage) (string, error) {
+				e := homology.NewEngine(workers, nil)
+				e.DisableMorse = mode.noMorse
+				betti, err := e.BettiZ2Ctx(ctx, c)
+				return fmt.Sprintf("betti=%v", betti), err
+			})
+			if err != nil {
 				return err
 			}
-			e := homology.NewEngine(workers, nil)
-			e.DisableMorse = mode.noMorse
-			sname := name + " reduce " + mode.label
-			stage := tracker.Stage(sname)
-			start := time.Now()
-			betti, err := e.BettiZ2Ctx(ctx, c)
-			elapsed := time.Since(start)
-			stage.End()
-			if err != nil {
-				return fmt.Errorf("%s: %w", sname, err)
-			}
-			fmt.Fprintf(w, "%-40s %12v  betti=%v\n", sname, elapsed, betti)
 		}
 		return nil
 	}
@@ -209,72 +213,53 @@ func run(ctx context.Context, w io.Writer, workers int, deep bool, reduce bool) 
 	for _, c := range asyncCases {
 		c := c
 		name := fmt.Sprintf("A^%d n=%d f=%d", c.r, c.n, c.f)
-		err := record(name, func() (int, int, int, error) {
-			return sized(asyncmodel.RoundsParallelCtx(ctx, labeled(c.n), asyncmodel.Params{N: c.n, F: c.f}, c.r, workers))
+		err := complexCase(name, func() (*pc.Result, error) {
+			return asyncmodel.RoundsParallelCtx(ctx, labeled(c.n), asyncmodel.Params{N: c.n, F: c.f}, c.r, workers)
 		})
 		if err != nil {
 			return err
 		}
-		if err := reduceCase(name); err != nil {
-			return err
-		}
 	}
 	cases := []struct {
-		name string
-		f    func() (int, int, int, error)
+		name  string
+		build func() (*pc.Result, error)
 	}{
-		{"S^1 n=3 k=3", func() (int, int, int, error) {
-			return sized(syncmodel.OneRoundParallelCtx(ctx, labeled(3), syncmodel.Params{PerRound: 3, Total: 3}, workers))
+		{"S^1 n=3 k=3", func() (*pc.Result, error) {
+			return syncmodel.OneRoundParallelCtx(ctx, labeled(3), syncmodel.Params{PerRound: 3, Total: 3}, workers)
 		}},
-		{"S^2 n=3 k=1 f=2", func() (int, int, int, error) {
-			return sized(syncmodel.RoundsParallelCtx(ctx, labeled(3), syncmodel.Params{PerRound: 1, Total: 2}, 2, workers))
+		{"S^2 n=3 k=1 f=2", func() (*pc.Result, error) {
+			return syncmodel.RoundsParallelCtx(ctx, labeled(3), syncmodel.Params{PerRound: 1, Total: 2}, 2, workers)
 		}},
-		{"S^3 n=3 k=1 f=3", func() (int, int, int, error) {
-			return sized(syncmodel.RoundsParallelCtx(ctx, labeled(3), syncmodel.Params{PerRound: 1, Total: 3}, 3, workers))
+		{"S^3 n=3 k=1 f=3", func() (*pc.Result, error) {
+			return syncmodel.RoundsParallelCtx(ctx, labeled(3), syncmodel.Params{PerRound: 1, Total: 3}, 3, workers)
 		}},
-		{"M^1 n=2 k=2 c1=1 c2=2 d=2", func() (int, int, int, error) {
-			return sized(semisync.OneRoundParallelCtx(ctx, labeled(2), semisync.Params{C1: 1, C2: 2, D: 2, PerRound: 2, Total: 2}, workers))
+		{"M^1 n=2 k=2 c1=1 c2=2 d=2", func() (*pc.Result, error) {
+			return semisync.OneRoundParallelCtx(ctx, labeled(2), semisync.Params{C1: 1, C2: 2, D: 2, PerRound: 2, Total: 2}, workers)
 		}},
-		{"M^2 n=2 k=1 f=2", func() (int, int, int, error) {
-			return sized(semisync.RoundsParallelCtx(ctx, labeled(2), semisync.Params{C1: 1, C2: 2, D: 2, PerRound: 1, Total: 2}, 2, workers))
+		{"M^2 n=2 k=1 f=2", func() (*pc.Result, error) {
+			return semisync.RoundsParallelCtx(ctx, labeled(2), semisync.Params{C1: 1, C2: 2, D: 2, PerRound: 1, Total: 2}, 2, workers)
 		}},
-		{"IIS^1 n=3", func() (int, int, int, error) {
-			res := iis.OneRound(labeled(3))
-			built = res.Complex
-			return res.Complex.Size(), len(res.Complex.Facets()), 0, nil
-		}},
+		{"IIS^1 n=3", func() (*pc.Result, error) { return iis.OneRound(labeled(3)), nil }},
 	}
 	if deep {
 		cases = append(cases, struct {
-			name string
-			f    func() (int, int, int, error)
-		}{"IIS^1 n=4", func() (int, int, int, error) {
-			res := iis.OneRound(labeled(4))
-			built = res.Complex
-			return res.Complex.Size(), len(res.Complex.Facets()), 0, nil
-		}})
+			name  string
+			build func() (*pc.Result, error)
+		}{"IIS^1 n=4", func() (*pc.Result, error) { return iis.OneRound(labeled(4)), nil }})
 	}
-	cases = append(cases,
-		struct {
-			name string
-			f    func() (int, int, int, error)
-		}{"EnumerateCrashSchedules(4,2,3)", func() (int, int, int, error) {
-			out, err := sim.EnumerateCrashSchedulesParallelCtx(ctx, 4, 2, 3, workers)
-			return 0, 0, len(out), err
-		}},
-		struct {
-			name string
-			f    func() (int, int, int, error)
-		}{"EnumerateCrashSchedules(3,2,2)", func() (int, int, int, error) {
-			out, err := sim.EnumerateCrashSchedulesParallelCtx(ctx, 3, 2, 2, workers)
-			return 0, 0, len(out), err
-		}},
-	)
 	for _, c := range cases {
-		if err := record(c.name, c.f); err != nil {
+		if err := complexCase(c.name, c.build); err != nil {
 			return err
 		}
-		if err := reduceCase(c.name); err != nil {
+	}
+	for _, e := range []struct{ n, f, r int }{{4, 2, 3}, {3, 2, 2}} {
+		name := fmt.Sprintf("EnumerateCrashSchedules(%d,%d,%d)", e.n, e.f, e.r)
+		err := timed(name, func(st *obs.Stage) (string, error) {
+			out, err := sim.EnumerateCrashSchedulesParallelCtx(ctx, e.n, e.f, e.r, workers)
+			st.Meta("count", int64(len(out)))
+			return fmt.Sprintf("count=%d", len(out)), err
+		})
+		if err != nil {
 			return err
 		}
 	}

@@ -279,7 +279,7 @@ func runReport(ctx context.Context, w io.Writer, cfg config, inst *modelspec.Ins
 		return err
 	}
 	c := res.Complex
-	buildStage.Meta("facets", int64(len(c.Facets()))).Meta("simplexes", int64(c.Size())).End()
+	buildStage.Meta("facets", int64(c.FacetCount())).Meta("simplexes", int64(c.Size())).End()
 
 	var cache *homology.Cache
 	if cfg.cache {
@@ -289,7 +289,7 @@ func runReport(ctx context.Context, w io.Writer, cfg config, inst *modelspec.Ins
 
 	fmt.Fprintf(w, "%s\n", complexName)
 	fmt.Fprintf(w, "f-vector:      %v\n", c.FVector())
-	fmt.Fprintf(w, "facets:        %d\n", len(c.Facets()))
+	fmt.Fprintf(w, "facets:        %d\n", c.FacetCount())
 	reduceStage := tracker.Stage("reduce")
 	conn, err := eng.ConnectivityCtx(ctx, c)
 	if err != nil {
@@ -372,7 +372,7 @@ func runTable(ctx context.Context, w io.Writer, cfg config, header string, top i
 		if predict != nil {
 			target, verdict = predict(m, conn)
 		}
-		fmt.Fprintf(w, "%4d  %8d  %12d  %6s  %s\n", m, len(res.Complex.Facets()), conn, target, verdict)
+		fmt.Fprintf(w, "%4d  %8d  %12d  %6s  %s\n", m, res.Complex.FacetCount(), conn, target, verdict)
 	}
 	stage.End()
 	if cache != nil {

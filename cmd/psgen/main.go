@@ -46,7 +46,7 @@ func run(w io.Writer, n int, valueList string, listFacets, withBetti bool) error
 	fmt.Fprintf(w, "psi(S^%d; {%s})\n", n, strings.Join(vals, ","))
 	fmt.Fprintf(w, "dimension:            %d\n", ps.Dim())
 	fmt.Fprintf(w, "f-vector:             %v\n", ps.FVector())
-	fmt.Fprintf(w, "facets:               %d\n", len(ps.Facets()))
+	fmt.Fprintf(w, "facets:               %d\n", ps.FacetCount())
 	fmt.Fprintf(w, "simplexes:            %d\n", ps.Size())
 	fmt.Fprintf(w, "Euler characteristic: %d\n", ps.EulerCharacteristic())
 	if withBetti {

@@ -40,7 +40,7 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Printf("  one-round protocol complex (%d facets): decision map exists = %v\n",
-			len(res.Complex.Facets()), found)
+			res.Complex.FacetCount(), found)
 
 		// The runtime side: at k = f+1 the wait-for-(n+1-f) protocol works.
 		if k > f {

@@ -34,7 +34,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Println("\nA^1 over all binary inputs, n=2, f=1")
-	fmt.Printf("  f-vector: %v, facets: %d\n", res.Complex.FVector(), len(res.Complex.Facets()))
+	fmt.Printf("  f-vector: %v, facets: %d\n", res.Complex.FVector(), res.Complex.FacetCount())
 
 	// 3. Solvability: Corollary 13 says consensus (k=1 <= f=1) is
 	// impossible; the exact decision-map search agrees.

@@ -125,21 +125,10 @@ type Delta struct {
 // delta result must be face-closed (anything a ShardPlan.RunShard built
 // is).
 func EncodeShardDelta(build string, lease uint64, shards []int, delta *pc.Result) []byte {
-	verts := delta.Complex.Vertices()
-	idx := make(map[topology.Vertex]int32, len(verts))
+	verts, simps := delta.Complex.IndexedSimplices()
 	vtab := make([]WireVert, len(verts))
 	for i, v := range verts {
-		idx[v] = int32(i)
 		vtab[i] = WireVert{P: v.P, L: v.Label}
-	}
-	all := delta.Complex.AllSimplices()
-	simps := make([][]int32, len(all))
-	for i, s := range all {
-		row := make([]int32, len(s))
-		for j, v := range s {
-			row[j] = idx[v]
-		}
-		simps[i] = row
 	}
 	payload, err := json.Marshal(shardDelta{Build: build, Lease: lease, Shards: shards, Verts: vtab, Simps: simps})
 	if err != nil {

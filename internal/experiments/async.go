@@ -49,7 +49,7 @@ func E3AsyncOneRound(ctx context.Context) (*Table, error) {
 		isoErr := topology.VerifyIsomorphism(oneRound.Complex, ps, m)
 		t.addRow(isoErr == nil,
 			itoa(p.N), itoa(p.F),
-			itoa(len(oneRound.Complex.Facets())),
+			itoa(oneRound.Complex.FacetCount()),
 			itoa(oneRound.Complex.Size()),
 			boolStr(isoErr == nil))
 	}

@@ -90,7 +90,7 @@ func E11PseudosphereAlgebra(ctx context.Context) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	ok := len(single.Facets()) == 1 && single.Facets()[0].Dim() == 3
+	ok := single.FacetCount() == 1 && single.Dim() == 3
 	t.addRow(ok, "psi(S;{v}) ~ S", "n=3", boolStr(ok))
 
 	// Lemma 4 (2): empty set removes the vertex.

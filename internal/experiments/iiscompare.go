@@ -33,11 +33,11 @@ func E14IISComparison(ctx context.Context) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	mpFacets := len(mp.Complex.Facets())
+	mpFacets := mp.Complex.FacetCount()
 	t.addRow(mpFacets == 64, "message-passing facets (4^3 heard-set products)", "64", itoa(mpFacets))
 
 	is := iis.OneRound(input)
-	isFacets := len(is.Complex.Facets())
+	isFacets := is.Complex.FacetCount()
 	t.addRow(isFacets == iis.FubiniNumber(3), "IIS facets (ordered partitions, Fubini)", "13", itoa(isFacets))
 
 	// Connectivity: both single-input one-round complexes are highly

@@ -225,21 +225,10 @@ func decodeShardDelta(rec ckptRecord) (vw []*views.View, simps []topology.Simple
 // the full face-closed set, not just facets, so Restore can re-insert it
 // without the closure walk.
 func (c *CheckpointLog) Flush(done []int, delta *pc.Result) error {
-	verts := delta.Complex.Vertices()
-	idx := make(map[topology.Vertex]int32, len(verts))
+	verts, simps := delta.Complex.IndexedSimplices()
 	vtab := make([]ckptVert, len(verts))
 	for i, v := range verts {
-		idx[v] = int32(i)
 		vtab[i] = ckptVert{P: v.P, L: v.Label}
-	}
-	all := delta.Complex.AllSimplices()
-	simps := make([][]int32, len(all))
-	for i, s := range all {
-		row := make([]int32, len(s))
-		for j, v := range s {
-			row[j] = idx[v]
-		}
-		simps[i] = row
 	}
 	return c.append(ckptRecord{T: "shards", Total: c.shardTotal, Done: done, Verts: vtab, Simps: simps})
 }

@@ -35,7 +35,7 @@ func statsOf(c *topology.Complex) complexStats {
 	return complexStats{
 		Dim:           c.Dim(),
 		FVector:       c.FVector(),
-		Facets:        len(c.Facets()),
+		Facets:        c.FacetCount(),
 		Simplices:     c.Size(),
 		Euler:         c.EulerCharacteristic(),
 		CanonicalHash: c.CanonicalHash(),

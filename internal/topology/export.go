@@ -89,5 +89,5 @@ func (c *Complex) DescribeSummary() string {
 	}
 	sort.Strings(idStrs)
 	return fmt.Sprintf("dim=%d simplexes=%d facets=%d processes={%s} chi=%d",
-		c.Dim(), c.Size(), len(c.Facets()), strings.Join(idStrs, ","), c.EulerCharacteristic())
+		c.Dim(), c.Size(), c.FacetCount(), strings.Join(idStrs, ","), c.EulerCharacteristic())
 }

@@ -3,32 +3,9 @@ package topology
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"io"
-	"sort"
 	"strconv"
 	"strings"
 )
-
-// keyOf renders the canonical string key of the entry id sequence, byte
-// for byte what Simplex.Key produces on the materialized simplex.
-func (c *Complex) keyOf(ids []int32) string {
-	n := 0
-	for _, id := range ids {
-		n += len(c.byID[id].Label) + 12
-	}
-	var b strings.Builder
-	b.Grow(n)
-	for i, id := range ids {
-		if i > 0 {
-			b.WriteByte('|')
-		}
-		v := c.byID[id]
-		b.WriteString(strconv.Itoa(v.P))
-		b.WriteByte(':')
-		b.WriteString(v.Label)
-	}
-	return b.String()
-}
 
 // FacetEncoding returns a canonical textual encoding of the complex: the
 // keys of its facets in sorted (dimension, key) order, each prefixed by
@@ -53,23 +30,43 @@ func (c *Complex) FacetEncoding() string {
 // engine: equal complexes always hash equal, and distinct complexes
 // collide only with cryptographic improbability.
 //
-// The digest is taken over the sorted, length-prefixed simplex-key set.
-// The keys are rendered from the interned entries on demand, but the
-// encoding (and therefore the digest) is unchanged from the string-keyed
-// representation this core replaced — ReferenceComplex.CanonicalHash is
-// differentially tested to agree.
+// The digest is taken over the sorted, length-prefixed simplex-key set
+// ("len:key;" per simplex, keys in byte order). The keys are streamed
+// from the per-vertex token table in rank order (see order.go) and never
+// rendered one string per simplex, but the encoding, and therefore the
+// digest, is unchanged from the string-keyed representation this core
+// replaced: ReferenceComplex.CanonicalHash is differentially tested to
+// agree. The digest is memoized until the complex next grows.
 func (c *Complex) CanonicalHash() string {
-	keys := make([]string, len(c.entries))
-	for ei := range c.entries {
-		keys[ei] = c.keyOf(c.entries[ei].ids)
-	}
-	sort.Strings(keys)
+	return c.memo.hash.get(len(c.entries), c.canonicalHash)
+}
+
+func (c *Complex) canonicalHash() string {
+	o := c.keyOrder()
+	idx := c.allEntries()
+	c.sortEntries(o, idx, false)
 	h := sha256.New()
-	for _, k := range keys {
-		io.WriteString(h, strconv.Itoa(len(k)))
-		io.WriteString(h, ":")
-		io.WriteString(h, k)
-		io.WriteString(h, ";")
+	buf := make([]byte, 0, 64<<10)
+	for _, ei := range idx {
+		ids := c.entries[ei].ids
+		n := len(ids) - 1 // separators
+		for _, id := range ids {
+			n += len(o.tok[id])
+		}
+		buf = strconv.AppendInt(buf, int64(n), 10)
+		buf = append(buf, ':')
+		for i, id := range ids {
+			if i > 0 {
+				buf = append(buf, '|')
+			}
+			buf = append(buf, o.tok[id]...)
+		}
+		buf = append(buf, ';')
+		if len(buf) >= 60<<10 {
+			h.Write(buf)
+			buf = buf[:0]
+		}
 	}
+	h.Write(buf)
 	return hex.EncodeToString(h.Sum(nil))
 }
