@@ -6,6 +6,8 @@ package pseudosphere_test
 
 import (
 	"context"
+	"fmt"
+	"path/filepath"
 	"testing"
 
 	"pseudosphere/internal/asyncmodel"
@@ -13,7 +15,10 @@ import (
 	"pseudosphere/internal/core"
 	"pseudosphere/internal/experiments"
 	"pseudosphere/internal/homology"
+	"pseudosphere/internal/jobs"
+	"pseudosphere/internal/pc"
 	"pseudosphere/internal/protocols"
+	"pseudosphere/internal/roundop"
 	"pseudosphere/internal/semisync"
 	"pseudosphere/internal/sim"
 	"pseudosphere/internal/sperner"
@@ -312,6 +317,75 @@ func BenchmarkDescribe(b *testing.B) {
 			b.Fatal("unexpected description")
 		}
 	}
+}
+
+// benchCkpt is an in-memory roundop.Checkpointer: each Flush dumps the
+// delta as jobs.CheckpointLog.Flush does (vertex table plus index rows)
+// and keeps only the done count, so a checkpointed build pays the dump
+// without the encoding and the disk write.
+type benchCkpt struct{ done, rows int }
+
+func (b *benchCkpt) Restore(int) ([]bool, *pc.Result, error) { return nil, nil, nil }
+
+func (b *benchCkpt) Flush(done []int, delta *pc.Result) error {
+	_, simps := delta.Complex.IndexedSimplices()
+	b.done += len(done)
+	b.rows += len(simps)
+	return nil
+}
+
+// BenchmarkBuildCkpt is the checkpointed-construction canary gated by
+// .github/bench_baseline.json: A^1 n=3 f=3 (6560 simplexes) built through
+// roundop.RoundsParallelCkpt at 2 workers with a flush every 8 shards,
+// the path a job-API build takes.
+func BenchmarkBuildCkpt(b *testing.B) {
+	input := inputSimplex(3)
+	op := asyncmodel.Params{N: 3, F: 3}.Operator()
+	for i := 0; i < b.N; i++ {
+		ck := &benchCkpt{}
+		res, err := roundop.RoundsParallelCkpt(context.Background(), op, input, 1, 2, 8, ck)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Complex.Size() != 6560 || ck.rows < 6560 {
+			b.Fatalf("size %d, %d rows flushed", res.Complex.Size(), ck.rows)
+		}
+	}
+}
+
+// BenchmarkBuildA1n4f2 times construction of the A^1 n=4 f=2 round
+// complex (248,831 simplexes) per path (EXPERIMENTS.md E23):
+// RoundsParallel at 1 and 2 workers, and the checkpointed build a job
+// runs, through jobs.CheckpointLog at 2 workers with a flush every 8
+// shards. Run with -benchmem for the bytes each path allocates.
+func BenchmarkBuildA1n4f2(b *testing.B) {
+	input := inputSimplex(4)
+	p := asyncmodel.Params{N: 4, F: 2}
+	for _, w := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				res, err := asyncmodel.RoundsParallel(input, p, 1, w)
+				if err != nil || res.Complex.Size() != 248831 {
+					b.Fatalf("build: %v", err)
+				}
+			}
+		})
+	}
+	b.Run("ckpt-log", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			log, err := jobs.OpenCheckpointLog(filepath.Join(b.TempDir(), "build.ckpt"))
+			if err != nil {
+				b.Fatal(err)
+			}
+			res, err := roundop.RoundsParallelCkpt(context.Background(), p.Operator(), input, 1, 2, 8, log)
+			if err != nil || res.Complex.Size() != 248831 {
+				b.Fatalf("build: %v", err)
+			}
+			if err := log.Close(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // BenchmarkDescribeA1n4f2 times each describe path on the A^1 n=4 f=2

@@ -83,11 +83,7 @@ func RoundsParallelCtx(ctx context.Context, op Operator, input topology.Simplex,
 	if r == 1 && grand < parallelThreshold && !cancellable {
 		return Rounds(op, input, r)
 	}
-	res := pc.NewResult()
-	if err := runJobs(ctx, res, jobs, r, workers); err != nil {
-		return nil, err
-	}
-	return res, nil
+	return runJobs(ctx, jobs, r, workers)
 }
 
 // buildShardJobs shards every branch's facet product into index-range
@@ -139,13 +135,16 @@ func runShard(local *pc.Result, job shardJob, r int) error {
 }
 
 // runJobs drains jobs with a pool of workers, each accumulating into a
-// private result, and merges the shards into res. Workers re-check the
-// context at every job claim; on cancellation the merge is skipped and
-// ctx.Err() is returned. The first enumeration error (none are expected
-// from the in-tree operators) aborts the drain the same way.
-func runJobs(ctx context.Context, res *pc.Result, jobs []shardJob, r int, workers int) error {
+// private result, and returns the first worker's result with the others
+// merged into it. Adopting that result keeps the entry and vertex-id
+// order a merge into an empty result would give, without re-inserting
+// it. Workers re-check the context at every job claim; on cancellation
+// the merge is skipped and ctx.Err() is returned. The first enumeration
+// error (none are expected from the in-tree operators) aborts the drain
+// the same way.
+func runJobs(ctx context.Context, jobs []shardJob, r int, workers int) (*pc.Result, error) {
 	if len(jobs) == 0 {
-		return nil
+		return pc.NewResult(), nil
 	}
 	if workers > len(jobs) {
 		workers = len(jobs)
@@ -183,13 +182,14 @@ func runJobs(ctx context.Context, res *pc.Result, jobs []shardJob, r int, worker
 	}
 	wg.Wait()
 	if errp := firstErr.Load(); errp != nil {
-		return *errp
+		return nil, *errp
 	}
 	if err := ctx.Err(); err != nil {
-		return err
+		return nil, err
 	}
-	for _, l := range locals {
+	res := locals[0]
+	for _, l := range locals[1:] {
 		res.Merge(l)
 	}
-	return nil
+	return res, nil
 }

@@ -38,7 +38,7 @@ func (c *Complex) FacetEncoding() string {
 // replaced: ReferenceComplex.CanonicalHash is differentially tested to
 // agree. The digest is memoized until the complex next grows.
 func (c *Complex) CanonicalHash() string {
-	return c.memo.hash.get(len(c.entries), c.canonicalHash)
+	return c.memo.hash.get(c.size(), c.canonicalHash)
 }
 
 func (c *Complex) canonicalHash() string {
@@ -48,7 +48,7 @@ func (c *Complex) canonicalHash() string {
 	h := sha256.New()
 	buf := make([]byte, 0, 64<<10)
 	for _, ei := range idx {
-		ids := c.entries[ei].ids
+		ids := c.entryIDs(ei)
 		n := len(ids) - 1 // separators
 		for _, id := range ids {
 			n += len(o.tok[id])

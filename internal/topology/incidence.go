@@ -10,10 +10,10 @@ package topology
 
 // EntryCount returns the number of stored simplexes. Entry indices run
 // 0..EntryCount()-1 in insertion order, mixing dimensions.
-func (c *Complex) EntryCount() int { return len(c.entries) }
+func (c *Complex) EntryCount() int { return c.size() }
 
 // EntryDim returns the dimension of entry ei (0 for a vertex).
-func (c *Complex) EntryDim(ei int32) int { return len(c.entries[ei].ids) - 1 }
+func (c *Complex) EntryDim(ei int32) int { return len(c.entryIDs(ei)) - 1 }
 
 // EntrySimplex materializes entry ei as a Simplex (vertices in ascending
 // process-id order, the complex's canonical order).
@@ -32,7 +32,7 @@ func (c *Complex) EntrySimplex(ei int32) Simplex { return c.simplexAt(ei) }
 // scratch state, so concurrent EntryFaces calls — and concurrent readers
 // generally — are safe, matching the homology engine's access pattern.
 func (c *Complex) EntryFaces(ei int32, buf []int32) []int32 {
-	ids := c.entries[ei].ids
+	ids := c.entryIDs(ei)
 	n := len(ids)
 	if n <= 1 {
 		return buf

@@ -1,32 +1,45 @@
 package topology
 
-import "math/bits"
+import (
+	"math/bits"
+	"slices"
+)
 
 // The interned complex core.
 //
 // A Complex stores each distinct vertex once in a per-complex intern table
 // (Vertex -> dense int32 id) and each simplex as its vertex-id sequence in
 // ascending process-id order, the same canonical order Simplex itself
-// maintains. Simplexes are indexed by a cheap 64-bit hash of the id
-// sequence with collision buckets, so membership tests and face closure
-// never build string keys. Id slices are carved out of a chunked arena to
-// keep one Add from costing one allocation per face.
-
-// simplexEntry is one stored simplex: its interned vertex ids in ascending
-// process-id order. Entries are append-only and immutable once inserted.
-type simplexEntry struct {
-	ids []int32
-}
-
-// arenaChunk is the growth quantum of the id arena. Old chunks stay
-// referenced by the entries carved from them; only the slack at the end of
-// a chunk is ever wasted.
-const arenaChunk = 8192
+// maintains. The storage is three pointer-free slices, so the garbage
+// collector never scans it and growing it is a plain append:
+//
+//   - arena holds every entry's ids, concatenated in insertion order;
+//   - starts is the CSR offset table: entry ei's ids are
+//     arena[starts[ei]:starts[ei+1]];
+//   - slots is a power-of-two open-addressing index with linear probing,
+//     kept at load <= 1/2. A slot packs a tag, the upper 32 bits of
+//     hashIDs (which also picks the probe start), with entry+1 in its low
+//     32 bits; zero marks an empty slot. Equal tags are resolved by exact
+//     comparison against the arena, and growth rehashes from the tags
+//     alone, never re-reading the arena.
+//
+// Membership tests and face closure therefore never build string keys,
+// and a lookup is read-only: concurrent readers are safe.
 
 // maskWalkLimit bounds the bitmask closure walk: simplexes with more
 // vertices fall back to a recursive face closure. Chromatic simplexes have
 // one vertex per process, so real workloads sit far below this.
 const maskWalkLimit = 25
+
+// minSlots is the slot count of a new complex's index.
+const minSlots = 16
+
+// Storage limits: starts holds uint32 arena offsets, and entry indices
+// are int32 (a slot stores entry+1 in 32 bits).
+const (
+	maxArenaIDs = 1<<32 - 1
+	maxEntries  = 1<<31 - 1
+)
 
 // intern returns the dense id of v, assigning the next id on first sight.
 func (c *Complex) intern(v Vertex) int32 {
@@ -39,8 +52,8 @@ func (c *Complex) intern(v Vertex) int32 {
 	return id
 }
 
-// hashIDs mixes an id sequence into a 64-bit bucket key (splitmix-style
-// rounds; collisions are resolved by exact comparison in find).
+// hashIDs mixes an id sequence into a 64-bit hash (splitmix-style
+// rounds); its upper 32 bits are the slot tag.
 func hashIDs(ids []int32) uint64 {
 	h := uint64(0x9e3779b97f4a7c15)
 	for _, id := range ids {
@@ -51,50 +64,87 @@ func hashIDs(ids []int32) uint64 {
 	return h
 }
 
+// size returns the number of stored entries.
+func (c *Complex) size() int { return len(c.starts) - 1 }
+
+// entryIDs returns entry ei's ids. The slice is capped at its own length,
+// so an append by a caller can never write into the next entry.
+func (c *Complex) entryIDs(ei int32) []int32 {
+	lo, hi := c.starts[ei], c.starts[ei+1]
+	return c.arena[lo:hi:hi]
+}
+
 // find returns the entry index storing exactly ids (hashed to h), or -1.
+// It only reads the complex, so concurrent finds are safe.
 func (c *Complex) find(ids []int32, h uint64) int32 {
-	for _, ei := range c.table[h] {
-		e := c.entries[ei].ids
-		if len(e) != len(ids) {
+	tag := h >> 32
+	mask := uint64(len(c.slots) - 1)
+	for i := tag & mask; ; i = (i + 1) & mask {
+		s := c.slots[i]
+		if s == 0 {
+			return -1
+		}
+		if s>>32 != tag {
 			continue
 		}
-		match := true
-		for i := range e {
-			if e[i] != ids[i] {
-				match = false
-				break
-			}
-		}
-		if match {
+		if ei := int32(uint32(s) - 1); slices.Equal(c.entryIDs(ei), ids) {
 			return ei
 		}
 	}
-	return -1
 }
 
-// allocIDs copies ids into the arena and returns the stable copy.
-func (c *Complex) allocIDs(ids []int32) []int32 {
-	n := len(ids)
-	if cap(c.arena)-len(c.arena) < n {
-		grow := arenaChunk
-		if grow < n {
-			grow = n
-		}
-		c.arena = make([]int32, 0, grow)
+// place puts slot value s into slots at the first free position of its
+// probe sequence.
+func place(slots []uint64, s uint64) {
+	mask := uint64(len(slots) - 1)
+	i := (s >> 32) & mask
+	for slots[i] != 0 {
+		i = (i + 1) & mask
 	}
-	off := len(c.arena)
-	c.arena = c.arena[:off+n]
-	dst := c.arena[off : off+n : off+n]
-	copy(dst, ids)
-	return dst
+	slots[i] = s
+}
+
+// reserve grows the index so n entries fit at load <= 1/2. Growth
+// rehashes from the old slots alone: each slot carries its own tag.
+func (c *Complex) reserve(n int) {
+	if 2*n <= len(c.slots) {
+		return
+	}
+	size := max(len(c.slots), minSlots)
+	for size < 2*n {
+		size *= 2
+	}
+	slots := make([]uint64, size)
+	for _, s := range c.slots {
+		if s != 0 {
+			place(slots, s)
+		}
+	}
+	c.slots = slots
+}
+
+// checkLimits panics if storing one more entry of n ids would overflow
+// the uint32 arena offsets or the int32 entry indices. The service's
+// admission cap keeps real inputs far below both, so only a bug (an
+// unbounded loop of inserts) can trip it.
+func checkLimits(entries, arenaLen, n int) {
+	if entries+1 > maxEntries {
+		panic("topology: complex exceeds 2^31-1 simplexes (int32 entry index limit)")
+	}
+	if uint64(arenaLen)+uint64(n) > maxArenaIDs {
+		panic("topology: complex exceeds 2^32-1 stored vertex ids (uint32 arena offset limit)")
+	}
 }
 
 // insert stores ids (hashed to h) as a new entry, updating the f-vector
 // and dimension. The caller must have checked absence.
 func (c *Complex) insert(ids []int32, h uint64) {
-	ei := int32(len(c.entries))
-	c.entries = append(c.entries, simplexEntry{ids: c.allocIDs(ids)})
-	c.table[h] = append(c.table[h], ei)
+	ei := c.size()
+	checkLimits(ei, len(c.arena), len(ids))
+	c.reserve(ei + 1)
+	c.arena = append(c.arena, ids...)
+	c.starts = append(c.starts, uint32(len(c.arena)))
+	place(c.slots, h>>32<<32|uint64(ei+1))
 	d := len(ids) - 1
 	for len(c.counts) <= d {
 		c.counts = append(c.counts, 0)
@@ -233,7 +283,7 @@ func (c *Complex) addClosureRecursive(ids []int32) {
 
 // simplexAt materializes the entry at index ei as a Simplex.
 func (c *Complex) simplexAt(ei int32) Simplex {
-	ids := c.entries[ei].ids
+	ids := c.entryIDs(ei)
 	s := make(Simplex, len(ids))
 	for i, id := range ids {
 		s[i] = c.byID[id]

@@ -176,7 +176,7 @@ func (s *keyStream) more() bool {
 func (c *Complex) sortEntries(o *keyOrder, idx []int32, byDim bool) {
 	width := c.dim + 1
 	rankBits := bits.Len(uint(len(o.rank)))
-	idxBits := bits.Len(uint(len(c.entries)))
+	idxBits := bits.Len(uint(c.size()))
 	keyBits := rankBits*width + idxBits
 	if byDim {
 		keyBits += bits.Len(uint(width))
@@ -186,12 +186,12 @@ func (c *Complex) sortEntries(o *keyOrder, idx []int32, byDim bool) {
 		if byDim {
 			cmpIDs = o.cmpDimKey
 		}
-		slices.SortFunc(idx, func(x, y int32) int { return cmpIDs(c.entries[x].ids, c.entries[y].ids) })
+		slices.SortFunc(idx, func(x, y int32) int { return cmpIDs(c.entryIDs(x), c.entryIDs(y)) })
 		return
 	}
 	keys := make([]uint64, len(idx))
 	for i, ei := range idx {
-		ids := c.entries[ei].ids
+		ids := c.entryIDs(ei)
 		var k uint64
 		if byDim {
 			k = uint64(len(ids))
@@ -215,12 +215,12 @@ func (c *Complex) sortEntries(o *keyOrder, idx []int32, byDim bool) {
 func (c *Complex) simplicesAt(idx []int32) []Simplex {
 	n := 0
 	for _, ei := range idx {
-		n += len(c.entries[ei].ids)
+		n += len(c.entryIDs(ei))
 	}
 	verts := make([]Vertex, n)
 	out := make([]Simplex, len(idx))
 	for i, ei := range idx {
-		ids := c.entries[ei].ids
+		ids := c.entryIDs(ei)
 		s := verts[:len(ids):len(ids)]
 		verts = verts[len(ids):]
 		for j, id := range ids {
@@ -275,12 +275,12 @@ func (c *Complex) IndexedSimplices() (verts []Vertex, simps [][]int32) {
 	c.sortEntries(c.keyOrder(), idx, true)
 	n := 0
 	for _, ei := range idx {
-		n += len(c.entries[ei].ids)
+		n += len(c.entryIDs(ei))
 	}
 	back := make([]int32, n)
 	simps = make([][]int32, len(idx))
 	for i, ei := range idx {
-		ids := c.entries[ei].ids
+		ids := c.entryIDs(ei)
 		row := back[:len(ids):len(ids)]
 		back = back[len(ids):]
 		for j, id := range ids {

@@ -409,7 +409,7 @@ func TestPackedSortMatchesComparator(t *testing.T) {
 			}
 			got, want := c.allEntries(), c.allEntries()
 			c.sortEntries(o, got, byDim)
-			slices.SortFunc(want, func(x, y int32) int { return cmpIDs(c.entries[x].ids, c.entries[y].ids) })
+			slices.SortFunc(want, func(x, y int32) int { return cmpIDs(c.entryIDs(x), c.entryIDs(y)) })
 			if !slices.Equal(got, want) {
 				t.Fatalf("seed %d byDim %v: packed order %v, comparator %v", seed, byDim, got, want)
 			}
